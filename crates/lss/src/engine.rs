@@ -1205,6 +1205,24 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
             self.shadow_scratch = shadows;
             return self.flush_chunk(home, &[], GroupId::MAX);
         }
+        if self.groups[target as usize].open_segment == SegmentId::MAX {
+            // Open the target's segment before building the chunk, exactly
+            // where `flush_chunk` would: the allocation can run GC, whose
+            // migrations into `home` may flush some of the blocks listed
+            // above. Those are durable now and must not be shadowed.
+            if let Err(e) = self.alloc_open_segment(target) {
+                self.shadow_scratch = shadows;
+                return Err(e);
+            }
+            shadows.retain(|&lba| {
+                matches!(self.index.get(lba),
+                    BlockEntry::Pending { group, shadow: None } if group == home)
+            });
+            if shadows.is_empty() {
+                self.shadow_scratch = shadows;
+                return Ok(());
+            }
+        }
         self.metrics.shadow_append_events += 1;
         if self.events.enabled() {
             self.events.record(
@@ -2005,6 +2023,16 @@ impl<P: PlacementPolicy, S: ArraySink> Lss<P, S> {
     pub fn drain_durable_acks(&mut self, out: &mut Vec<(Lba, u64)>) {
         if let Some(d) = self.dur.as_mut() {
             d.wal.drain_ready_acks(out);
+        }
+    }
+
+    /// Drop the `(lba, version)` pairs [`Lss::drain_durable_acks`] would
+    /// return. A caller that acknowledges writes through its own barrier
+    /// calls this after each one, or the list grows by one pair per
+    /// acknowledged write for the life of the engine.
+    pub fn discard_durable_acks(&mut self) {
+        if let Some(d) = self.dur.as_mut() {
+            d.wal.discard_ready_acks();
         }
     }
 

@@ -689,6 +689,13 @@ impl Wal {
         out.append(&mut self.ready_acks);
     }
 
+    /// Forget the host writes acknowledged by completed syncs, for a
+    /// caller that acknowledges through its own barrier and never drains
+    /// them.
+    pub fn discard_ready_acks(&mut self) {
+        self.ready_acks.clear();
+    }
+
     /// Host writes appended but not yet covered by a sync.
     pub fn unacked(&self) -> usize {
         self.pending_acks.len()

@@ -4,14 +4,15 @@
 //! (see [`crate::server::Client`]) returns a [`Ticket`] immediately (or a
 //! typed [`SubmitError`] — never a blocking wait), and the caller
 //! harvests the [`Completion`] with `wait` whenever it chooses. A ticket
-//! is a one-shot future backed by a mutex/condvar slot the shard thread
-//! fills; dropping a ticket is allowed (the completion is simply
-//! discarded).
+//! is a one-shot future backed by a spin-then-park cell the shard thread
+//! fills (see the `handoff` module); dropping a ticket is allowed (the
+//! completion is simply discarded).
 
+use crate::handoff::OneShot;
 use adapt_lss::{EngineError, Retryable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// Tenant identifier for QoS accounting.
 pub type TenantId = u32;
@@ -217,49 +218,12 @@ pub struct Completion {
     pub result: Result<(), ServeError>,
 }
 
-/// One-shot mutex/condvar future the shard thread fills exactly once.
-#[derive(Debug, Default)]
-pub(crate) struct CompletionSlot {
-    state: Mutex<Option<Completion>>,
-    cv: Condvar,
-}
-
-impl CompletionSlot {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Fill the slot and wake the waiter. Filling twice is a bug.
-    pub(crate) fn fill(&self, c: Completion) {
-        let mut s = self.state.lock().unwrap();
-        debug_assert!(s.is_none(), "completion slot filled twice");
-        *s = Some(c);
-        self.cv.notify_all();
-    }
-
-    /// Block until the slot is filled and take the completion.
-    pub(crate) fn take(&self) -> Completion {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some(c) = s.take() {
-                return c;
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    /// Non-blocking probe: take the completion if it is already there.
-    pub(crate) fn try_take(&self) -> Option<Completion> {
-        self.state.lock().unwrap().take()
-    }
-}
-
 /// Handle to one in-flight request. Redeem with
 /// [`Client::wait`](crate::server::Client::wait); dropping it abandons
 /// the completion (the request still executes).
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) slot: Arc<CompletionSlot>,
+    pub(crate) slot: Arc<OneShot<Completion>>,
     pub(crate) shard: u32,
 }
 
@@ -290,7 +254,7 @@ mod tests {
 
     #[test]
     fn slot_fill_then_take() {
-        let slot = CompletionSlot::new();
+        let slot = OneShot::new();
         let c = Completion {
             shard: 1,
             request: Request::write(0, 0, 5, 1),
@@ -305,7 +269,7 @@ mod tests {
 
     #[test]
     fn slot_wakes_blocked_waiter() {
-        let slot = CompletionSlot::new();
+        let slot = OneShot::new();
         let waiter = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.take())

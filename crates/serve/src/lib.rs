@@ -48,6 +48,7 @@
 //! ```
 
 pub mod api;
+mod handoff;
 pub mod qos;
 pub mod router;
 pub mod server;

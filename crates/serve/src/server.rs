@@ -15,13 +15,13 @@
 //! harness can rebuild the *same* plans, recover each shard's engine
 //! from its WAL directory, and re-serve — routing needs no persistence.
 
-use crate::api::CompletionSlot;
 use crate::api::{Request, SubmitError, TenantId, Ticket, VolumeId};
+use crate::handoff::OneShot;
 use crate::qos::{QosConfig, TenantGovernor};
 use crate::router::{ShardRouter, VolumeSpec};
 use crate::shard::{
     Command, OpCommand, PushError, ShardEngine, ShardQueue, ShardReport, ShardStats,
-    ShardStatsSnapshot, ShardWorker, SyncCell,
+    ShardStatsSnapshot, ShardWorker,
 };
 use adapt_lss::{LssConfig, LssMetrics, TelemetrySnapshot};
 use std::collections::BTreeMap;
@@ -318,7 +318,7 @@ impl Client {
             stats.rejected_throttled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             return Err(e);
         }
-        let slot = CompletionSlot::new();
+        let slot = OneShot::new();
         let cmd = Command::Op(OpCommand {
             request,
             local_lba: routed.local_lba,
@@ -402,7 +402,7 @@ impl Client {
     /// `None` if the shard's queue is closed.
     pub fn telemetry(&self, shard: u32) -> Option<TelemetrySnapshot> {
         let q = self.shared.queues.get(shard as usize)?;
-        let cell = SyncCell::new();
+        let cell = OneShot::new();
         if !q.push_control(Command::Telemetry(Arc::clone(&cell))) {
             return None;
         }

@@ -1,8 +1,10 @@
 //! End-to-end serving tests: real engines (SepGC over in-memory or
 //! file-backed arrays) behind the sharded async API.
 
-use adapt_array::{CountingArray, FileArraySink, FileSinkOptions};
-use adapt_lss::{DurabilityConfig, EngineError, FsyncPolicy, Lss, Retryable, TelemetrySnapshot};
+use adapt_array::{ArraySink, CountingArray, FileArraySink, FileSinkOptions};
+use adapt_lss::{
+    DurabilityConfig, EngineError, FsyncPolicy, HostOpKind, Lss, Retryable, TelemetrySnapshot,
+};
 use adapt_placement::SepGc;
 use adapt_serve::shard::Probe;
 use adapt_serve::{
@@ -264,54 +266,51 @@ fn apply_batch_cap_is_bit_identical() {
     }
 }
 
-/// Wraps a real engine with a wait-gate on every apply (so tests can
-/// deterministically hold a shard's queue full) and optional fatal-error
-/// injection on writes.
-struct GatedEngine {
-    inner: Lss<SepGc, CountingArray>,
-    /// `(open, cv)`: applies block while `!open`.
-    gate: Arc<(Mutex<bool>, Condvar)>,
-    /// Inject `IndexCorruption` (fatal) on every write.
-    fail_writes: bool,
+/// Runs before every apply with the op's kind and address; an `Err` is
+/// the op's result (fault injection).
+type ApplyHook = Box<dyn FnMut(HostOpKind, u64) -> Result<(), EngineError> + Send>;
+/// Runs after every group-commit barrier, with the engine.
+type SyncHook<S> = Box<dyn FnMut(&mut Lss<SepGc, S>) + Send>;
+
+/// A real engine with a hook before every apply and one after every
+/// group-commit barrier.
+struct HookedEngine<S: ArraySink> {
+    inner: Lss<SepGc, S>,
+    before_apply: ApplyHook,
+    after_sync: SyncHook<S>,
 }
 
-impl GatedEngine {
-    fn wait_gate(&self) {
-        let (open, cv) = &*self.gate;
-        let mut open = open.lock().unwrap();
-        while !*open {
-            open = cv.wait(open).unwrap();
-        }
+impl HookedEngine<CountingArray> {
+    fn in_memory(plan: &adapt_serve::ShardPlan, before_apply: ApplyHook) -> Box<Self> {
+        let sink = CountingArray::new(plan.lss.array_config());
+        Box::new(Self {
+            inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
+            before_apply,
+            after_sync: Box::new(|_| {}),
+        })
     }
 }
 
-fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
-    let (open, cv) = &**gate;
-    *open.lock().unwrap() = true;
-    cv.notify_all();
-}
-
-impl ShardEngine for GatedEngine {
+impl<S: ArraySink + Send> ShardEngine for HookedEngine<S> {
     fn apply_write(&mut self, ts_us: u64, lba: u64, blocks: u32) -> Result<(), EngineError> {
-        self.wait_gate();
-        if self.fail_writes {
-            return Err(EngineError::IndexCorruption { lba, detail: "injected fault".into() });
-        }
+        (self.before_apply)(HostOpKind::Write, lba)?;
         ShardEngine::apply_write(&mut self.inner, ts_us, lba, blocks)
     }
 
     fn apply_read(&mut self, ts_us: u64, lba: u64, blocks: u32) -> Result<(), EngineError> {
-        self.wait_gate();
+        (self.before_apply)(HostOpKind::Read, lba)?;
         ShardEngine::apply_read(&mut self.inner, ts_us, lba, blocks)
     }
 
     fn apply_trim(&mut self, ts_us: u64, lba: u64, blocks: u32) -> Result<(), EngineError> {
-        self.wait_gate();
+        (self.before_apply)(HostOpKind::Trim, lba)?;
         ShardEngine::apply_trim(&mut self.inner, ts_us, lba, blocks)
     }
 
     fn sync(&mut self) -> Result<(), EngineError> {
-        ShardEngine::sync(&mut self.inner)
+        ShardEngine::sync(&mut self.inner)?;
+        (self.after_sync)(&mut self.inner);
+        Ok(())
     }
 
     fn flush_all(&mut self) -> Result<(), EngineError> {
@@ -335,6 +334,30 @@ impl ShardEngine for GatedEngine {
     }
 }
 
+/// An apply hook that blocks while `gate` is closed (so tests can
+/// deterministically hold a shard's queue full) and, with `fail_writes`,
+/// then fails every write with `IndexCorruption` (fatal).
+fn gate_hook(gate: &Arc<(Mutex<bool>, Condvar)>, fail_writes: bool) -> ApplyHook {
+    let gate = Arc::clone(gate);
+    Box::new(move |kind, lba| {
+        let (open, cv) = &*gate;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+        if fail_writes && kind == HostOpKind::Write {
+            return Err(EngineError::IndexCorruption { lba, detail: "injected fault".into() });
+        }
+        Ok(())
+    })
+}
+
+fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
+    let (open, cv) = &**gate;
+    *open.lock().unwrap() = true;
+    cv.notify_all();
+}
+
 /// A queue-full `Busy` rejection refunds the admission token it already
 /// consumed: shard backpressure must not drain the tenant's QoS budget.
 /// With refill 0 the bucket holds exactly `burst_ops` lifetime tokens,
@@ -351,14 +374,7 @@ fn queue_full_refunds_qos_token() {
             .shards(1)
             .queue_depth(2)
             .qos(adapt_serve::QosConfig { refill_per_op: 0.0, burst_ops: 8.0 })
-            .start(move |plan| {
-                let sink = CountingArray::new(plan.lss.array_config());
-                Box::new(GatedEngine {
-                    inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
-                    gate: Arc::clone(&gate),
-                    fail_writes: false,
-                })
-            })
+            .start(move |plan| HookedEngine::in_memory(plan, gate_hook(&gate, false)))
     };
     let client = server.client();
     // First op: the worker dequeues it and parks on the closed gate.
@@ -407,16 +423,11 @@ fn poll_observes_fail_stopped_shard() {
     let gate = Arc::new((Mutex::new(true), Condvar::new()));
     let server = {
         let gate = Arc::clone(&gate);
-        ServerBuilder::new().volume(0, 8 * 1024).range_blocks(8 * 1024).shards(1).start(
-            move |plan| {
-                let sink = CountingArray::new(plan.lss.array_config());
-                Box::new(GatedEngine {
-                    inner: Lss::builder(SepGc::new(), sink).config(plan.lss).build(),
-                    gate: Arc::clone(&gate),
-                    fail_writes: true,
-                })
-            },
-        )
+        ServerBuilder::new()
+            .volume(0, 8 * 1024)
+            .range_blocks(8 * 1024)
+            .shards(1)
+            .start(move |plan| HookedEngine::in_memory(plan, gate_hook(&gate, true)))
     };
     let client = server.client();
     // The op that hits the fault reports the engine error itself…
@@ -538,5 +549,150 @@ fn durable_acks_survive_recovery() {
             "acked write lba {lba} v{version} lost after recovery (found {durable:?})"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pause of `0..=200` µs drawn from `x`: a quarter of them at zero,
+/// the rest spread below and above the 50 µs handoff spin budget, so
+/// both the spin and the park path of each side run many times. Short
+/// pauses busy-wait (sleep granularity is coarser than the budget).
+fn pause(x: u64) {
+    let us = match x % 4 {
+        0 => return,
+        1 => x % 20,
+        2 => 20 + x % 60,
+        _ => 60 + x % 140,
+    };
+    let d = std::time::Duration::from_micros(us);
+    if us >= 100 {
+        std::thread::sleep(d);
+    } else {
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Lost-wakeup stress on the spin-then-park handoff: depth-1 round trips
+/// with random pauses on both sides. A client pause past the budget lets
+/// the shard park, so the next push must wake it; a shard pause past the
+/// budget lets the client park, so the fill must wake it. A missed wake
+/// hangs a round trip, which the watchdog turns into a failure.
+#[test]
+fn depth_one_handoff_never_loses_a_wakeup() {
+    const ROUND_TRIPS: u64 = 20_000;
+    let shard_draws = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let server = {
+        let draws = Arc::clone(&shard_draws);
+        mem_builder().shards(1).start(move |plan| {
+            let draws = Arc::clone(&draws);
+            HookedEngine::in_memory(
+                plan,
+                Box::new(move |_, _| {
+                    pause(mix(draws.fetch_add(1, std::sync::atomic::Ordering::Relaxed) ^ 0xD1CE));
+                    Ok(())
+                }),
+            )
+        })
+    };
+    let client = server.client();
+    let done = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for i in 0..ROUND_TRIPS {
+                let lba = mix(i) % (8 * 1024);
+                let req = if i % 3 == 0 {
+                    Request::read(0, 0, lba, 1)
+                } else {
+                    Request::write(0, 0, lba, 1)
+                };
+                let c = client.wait(client.submit(req).expect("depth 1 never fills the queue"));
+                assert_eq!(c.result, Ok(()));
+                done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                pause(mix(i ^ 0xC0FFEE));
+            }
+            tx.send(()).expect("watchdog gone");
+        })
+    };
+    if rx.recv_timeout(std::time::Duration::from_secs(120)).is_err() {
+        panic!(
+            "handoff hung after {} of {ROUND_TRIPS} round trips: lost wakeup",
+            done.load(std::sync::atomic::Ordering::Relaxed)
+        );
+    }
+    worker.join().expect("client thread panicked");
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert_eq!(report.total_completed(), ROUND_TRIPS);
+}
+
+/// The serving layer acknowledges writes with completions, so its
+/// barrier must also empty the WAL's own ack list: otherwise that list
+/// grows by one `(lba, version)` pair per acked write for the life of
+/// the server.
+#[test]
+fn barriers_leave_no_wal_ack_backlog() {
+    let dir = tdir("ack_backlog");
+    let barriers = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let backlog = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let server = {
+        let (dir, barriers, backlog) = (dir.clone(), Arc::clone(&barriers), Arc::clone(&backlog));
+        ServerBuilder::new()
+            .volume(0, 4 * 1024)
+            .range_blocks(1024)
+            .shards(1)
+            .group_commit_window(8)
+            .durable(true)
+            .start(move |plan| {
+                let d = dir.join(format!("shard{}", plan.shard));
+                let opts = FileSinkOptions { fsync: false, stripes_per_file: 16, budget: None };
+                let sink = FileArraySink::create(plan.lss.array_config(), d.join("array"), opts)
+                    .expect("create sink");
+                let durability = DurabilityConfig {
+                    fsync: FsyncPolicy::GroupCommit(4),
+                    fsync_data: false,
+                    ..DurabilityConfig::default()
+                };
+                let (barriers, backlog) = (Arc::clone(&barriers), Arc::clone(&backlog));
+                let mut left = Vec::new();
+                Box::new(HookedEngine {
+                    inner: Lss::builder(SepGc::new(), sink)
+                        .config(plan.lss)
+                        .durability(d.join("wal"), durability)
+                        .build(),
+                    before_apply: Box::new(|_, _| Ok(())),
+                    after_sync: Box::new(move |lss: &mut Lss<SepGc, FileArraySink>| {
+                        lss.drain_durable_acks(&mut left);
+                        barriers.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        backlog.fetch_add(left.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                        left.clear();
+                    }),
+                })
+            })
+    };
+    let client = server.client();
+    for batch in 0..250u64 {
+        let tickets: Vec<_> = (0..16)
+            .map(|j| {
+                let i = batch * 16 + j;
+                client.submit_backoff(Request::write(0, 0, mix(i) % 4096, 1)).unwrap()
+            })
+            .collect();
+        for t in tickets {
+            assert_eq!(client.wait(t).result, Ok(()));
+        }
+    }
+    let report = server.shutdown();
+    assert!(report.balanced());
+    assert!(!report.any_failed());
+    assert!(barriers.load(std::sync::atomic::Ordering::Relaxed) > 100, "too few barriers ran");
+    assert_eq!(
+        backlog.load(std::sync::atomic::Ordering::Relaxed),
+        0,
+        "acks left in the WAL after a barrier"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
