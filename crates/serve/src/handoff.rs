@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// request's engine time on the serving path (a few µs to a few tens of
 /// µs), short enough that an idle shard or client gives its CPU back
 /// almost at once.
-pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
 /// Whether spinning can pay off: it needs a second CPU for the peer.
 /// A property of the host, read once.
